@@ -22,18 +22,19 @@ USAGE:
       [--no-universal-save] [--hot-replicas K]
       Run the training simulator with periodic native checkpointing.
       --save-every takes K >= 1 (K=1 checkpoints every iteration; 0 is
-      rejected rather than clamped).
-      --hot-replicas K enables the peer-replicated in-memory hot
-      checkpoint tier: each save, every rank pushes its shard to K
-      successor ranks, and a supervised recovery serves the resume state
-      from surviving RAM copies before falling back to disk. Takes
-      K >= 1 and K < world size (0 is rejected rather than clamped).
+      rejected rather than clamped). Saves block training by default.
       --overlapped snapshots each checkpoint in memory and persists it on
       background writer threads; the writers also run the born-universal
       save pipeline, so latest_universal is published at save time and a
       reconfigured resume needs no convert pass. --no-universal-save
       keeps the overlapped native writers but skips the pipeline
       (resume under a new strategy then requires `ucp convert`).
+      --hot-replicas K runs under the restart supervisor with the
+      peer-replicated in-memory hot checkpoint tier: each save, every
+      rank also pushes its shard to K successor ranks, and a recovery
+      serves the resume state from surviving RAM copies before falling
+      back to disk. Takes K >= 1 and K < world size (0 is rejected rather
+      than clamped); combines with either save mode.
   ucp inspect --dir <ckpt-base> [--step N]
       Summarize a checkpoint: strategy, flat layout, atoms and patterns.
   ucp plan --dir <ckpt-base> --step N --tp T --pp P --dp D [--sp S] [--zero Z] --rank R

@@ -11,8 +11,8 @@ use ucp_model::ModelConfig;
 use ucp_parallel::{ParallelConfig, ZeroStage};
 use ucp_storage::{layout, retention, Container, Device};
 use ucp_trainer::{
-    supervise, train_run, train_run_overlapped, train_run_overlapped_with, OverlappedOptions,
-    ResumeMode, SupervisorOptions, TrainConfig, TrainPlan,
+    supervise, train_run, train_run_overlapped, ResumeMode, SaveMode, SupervisorOptions,
+    TrainConfig, TrainPlan,
 };
 
 use serde_json::Value;
@@ -231,7 +231,12 @@ pub fn train(p: &Parsed) -> Result<(), String> {
     let target = target_parallel(p)?;
     let model = model_preset(p.model.as_deref())?;
     model.validate(target.tp)?;
-    let config = TrainConfig::quick(model, target, p.seed.unwrap_or(42));
+    let mut config = TrainConfig::quick(model, target, p.seed.unwrap_or(42));
+    if p.overlapped {
+        config.saves = SaveMode::Overlapped {
+            universal: !p.no_universal_save,
+        };
+    }
     let iters = p.iters.unwrap_or(4);
     // Reject rather than silently clamp: a user writing `--save-every 0`
     // either wants no checkpoints (omit the flag semantics differ) or made
@@ -263,13 +268,6 @@ pub fn train(p: &Parsed) -> Result<(), String> {
                 target.world_size()
             ));
         }
-        if p.overlapped {
-            return Err(
-                "--hot-replicas runs under the restart supervisor and cannot be combined with \
-                 --overlapped yet; drop one of the two flags"
-                    .to_string(),
-            );
-        }
     }
     let plan = TrainPlan {
         config,
@@ -291,11 +289,6 @@ pub fn train(p: &Parsed) -> Result<(), String> {
         };
         supervise(&plan, &opts)
             .map(|mut rep| rep.segments.pop().expect("supervise returns >=1 segment"))
-    } else if p.overlapped {
-        let opts = OverlappedOptions {
-            universal_save: !p.no_universal_save,
-        };
-        train_run_overlapped_with(&plan, &opts)
     } else {
         train_run(&plan)
     }

@@ -83,30 +83,10 @@ impl OptimShard {
     }
 }
 
-/// Write a (tp, pp) slice's model-states file.
+/// Write a (tp, pp) slice's model-states file. `durable` adds an `fsync`
+/// before returning, so telemetry splits serialization (`storage/write`)
+/// from durability (`storage/fsync`).
 pub fn save_model_states(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    params: &ParamStore,
-) -> Result<()> {
-    save_model_states_impl(step_dir, common, tp, pp, params, false)
-}
-
-/// [`save_model_states`] with an `fsync` before returning, so telemetry
-/// splits serialization (`storage/write`) from durability (`storage/fsync`).
-pub fn save_model_states_durable(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    params: &ParamStore,
-) -> Result<()> {
-    save_model_states_impl(step_dir, common, tp, pp, params, true)
-}
-
-fn save_model_states_impl(
     step_dir: &Path,
     common: &CommonState,
     tp: usize,
@@ -152,30 +132,9 @@ pub fn load_model_states(
     ))
 }
 
-/// Write one (dp, tp, pp) rank's optimizer-states file.
+/// Write one (dp, tp, pp) rank's optimizer-states file. `durable` adds an
+/// `fsync` before returning, as for [`save_model_states`].
 pub fn save_optim_states(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    shard: &OptimShard,
-) -> Result<()> {
-    save_optim_states_impl(step_dir, common, tp, pp, shard, false)
-}
-
-/// [`save_optim_states`] with an `fsync` before returning, so telemetry
-/// splits serialization (`storage/write`) from durability (`storage/fsync`).
-pub fn save_optim_states_durable(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    shard: &OptimShard,
-) -> Result<()> {
-    save_optim_states_impl(step_dir, common, tp, pp, shard, true)
-}
-
-fn save_optim_states_impl(
     step_dir: &Path,
     common: &CommonState,
     tp: usize,
@@ -285,7 +244,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("a.weight", Tensor::randn([4, 2], 1.0, &rng.derive("a")));
         store.insert("b.weight", Tensor::randn([3], 1.0, &rng.derive("b")));
-        save_model_states(&dir, &common(), 1, 0, &store).unwrap();
+        save_model_states(&dir, &common(), 1, 0, &store, false).unwrap();
         let (c, params) = load_model_states(&dir, 1, 0).unwrap();
         assert_eq!(c, common());
         assert_eq!(params.len(), 2);
@@ -304,7 +263,7 @@ mod tests {
             exp_avg: vec![2.0; layout.chunk],
             exp_avg_sq: vec![3.0; layout.chunk],
         };
-        save_optim_states(&dir, &common(), 0, 1, &shard).unwrap();
+        save_optim_states(&dir, &common(), 0, 1, &shard, false).unwrap();
         let (c, back) = load_optim_states(&dir, 1, 0, 1).unwrap();
         assert_eq!(c.iteration, 100);
         assert_eq!(back, shard);
@@ -316,7 +275,7 @@ mod tests {
     fn wrong_coordinates_detected() {
         let dir = tmp("coords");
         let store = ParamStore::new();
-        save_model_states(&dir, &common(), 0, 0, &store).unwrap();
+        save_model_states(&dir, &common(), 0, 0, &store, false).unwrap();
         // Copy the file to a wrong location and load from there.
         let src = layout::model_states_path(&dir, 0, 0);
         let dst = layout::model_states_path(&dir, 1, 0);

@@ -1,17 +1,31 @@
 //! Run drivers: complete train → checkpoint → reconfigure → resume flows.
 //!
-//! These wrap [`crate::RankEngine`] in [`ucp_collectives::Cluster`] runs
-//! and are the entry points used by the figure harness, integration tests,
-//! and examples.
+//! Every run goes through one segment runner, `run_segment`: one
+//! cluster fan-out, one resume dispatch, one iterate loop and one save
+//! step. A save takes a snapshot of the rank's state and hands it to the
+//! sinks the run's [`SaveMode`] selects — a blocking persist +
+//! publish on the training thread, or an overlapped background writer
+//! (optionally born-universal) — plus the hot tier when a supervisor has
+//! armed one. [`train_run`] runs one bare segment; [`crate::supervise`]
+//! runs segments with its fault hook and hot tier and recovers between
+//! them. These are the entry points used by the figure harness,
+//! integration tests, and examples.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use ucp_collectives::Cluster;
+use ucp_collectives::{Cluster, ClusterOptions, Comm, RankFailure};
 use ucp_core::convert::{convert_to_universal, ConvertOptions, ConvertStats};
 use ucp_core::load::{LoadOptions, LoadSession};
 use ucp_core::manifest::UcpManifest;
+use ucp_storage::JournalEvent;
+use ucp_telemetry::trace::{self, TraceCat};
 
-use crate::engine::{RankEngine, TrainConfig};
+use crate::engine::{RankEngine, SaveMode, TrainConfig, UniversalSource};
+use crate::hot::HotTier;
+use crate::pipeline::{SavePipelines, SNAPSHOT_POOL_CAPACITY};
+use crate::snapshot::{CheckpointSnapshot, PendingSave, SnapshotPool};
 use crate::TrainError;
 
 /// How a run obtains its initial state.
@@ -91,320 +105,383 @@ pub struct RunResult {
     pub metrics: Vec<crate::engine::IterStats>,
 }
 
-/// Execute a training plan on an in-process cluster. Returns the per-rank
-/// agreed result (losses are identical on every rank; rank 0's copy is
-/// returned).
+/// Execute a training plan on an in-process cluster, saving the way
+/// `plan.config.saves` asks. Returns the per-rank agreed result (losses
+/// are identical on every rank; rank 0's copy is returned).
+///
+/// # Panics
+///
+/// Panics if a rank thread panics, like a fatal NCCL abort taking down
+/// the job; [`crate::supervise`] recovers from rank failures instead.
 pub fn train_run(plan: &TrainPlan) -> Result<RunResult, TrainError> {
-    plan.config.validate().map_err(TrainError::Config)?;
+    run_segment(plan, None).map_err(|e| match e {
+        SegmentError::Hard(e) => e,
+        SegmentError::Failure(failure) => panic!("{failure}"),
+    })
+}
+
+/// [`train_run`] with born-universal overlapped saves
+/// (`SaveMode::Overlapped { universal: true }`), whatever the plan's
+/// config asks for. At each checkpoint boundary the rank takes an
+/// in-memory snapshot — the only blocking cost — and a background thread
+/// writes the files while training continues, assembling the step's
+/// universal atom checkpoints as it goes ([`crate::pipeline`]). The
+/// `latest` and `latest_universal` markers for a step are published as
+/// soon as that step's writers have drained (at the next checkpoint
+/// boundary, or at run end), so a crash mid-run resumes from the newest
+/// completed save — under *any* target strategy, with no convert pass.
+/// The native on-disk checkpoints are byte-identical to blocking saves.
+pub fn train_run_overlapped(plan: &TrainPlan) -> Result<RunResult, TrainError> {
+    let mut plan = plan.clone();
+    plan.config.saves = SaveMode::Overlapped { universal: true };
+    train_run(&plan)
+}
+
+/// What a supervisor threads through [`run_segment`]. Unsupervised runs
+/// pass none.
+pub(crate) struct SegmentHooks<'h> {
+    /// Watchdog deadline of the cluster run; also bounds hot-tier
+    /// exchanges.
+    pub deadline: Duration,
+    /// Called on every rank at every step boundary, before the iteration
+    /// runs (fault injection).
+    pub at_step: &'h (dyn Fn(&Comm, u64) + Sync),
+    /// The armed hot tier: every save replicates into it.
+    pub hot: Option<&'h HotTier>,
+}
+
+/// Why a segment ended before completing its plan.
+pub(crate) enum SegmentError {
+    /// A rank died; recoverable.
+    Failure(RankFailure),
+    /// A non-failure error (bad config, unreadable checkpoint, ...).
+    Hard(TrainError),
+}
+
+/// Run `plan` as one cluster segment: resume, iterate up to
+/// `until_iteration`, and save every `checkpoint_every` iterations. The
+/// training math is the same with or without `hooks` — they only sleep,
+/// panic or replicate — so supervised segments stay bitwise-comparable to
+/// unsupervised runs.
+pub(crate) fn run_segment(
+    plan: &TrainPlan,
+    hooks: Option<&SegmentHooks>,
+) -> Result<RunResult, SegmentError> {
+    plan.config
+        .validate()
+        .map_err(|e| SegmentError::Hard(TrainError::Config(e)))?;
     let world = plan.config.parallel.world_size();
     // One load session for the whole fan-out: ranks needing the same atom
     // ranges (all DP replicas of a (tp, pp) slice) share the cached bytes
     // instead of each re-reading them.
-    let session = open_resume_session(&plan.resume)?;
+    let session = open_resume_session(&plan.resume).map_err(SegmentError::Hard)?;
+    let hot = hooks.and_then(|h| h.hot);
+    if let Some(tier) = hot {
+        // Fresh mesh + empty replica banks for the new topology: epochs
+        // restart per segment, and stale replicas from a previous shape
+        // cannot masquerade as current ones.
+        tier.begin_segment(world);
+    }
+    // One persistent exchange mesh for the born-universal pipeline, wired
+    // before the fan-out so every rank's background writer leases the same
+    // fabric. Each save step claims an epoch-tagged lease instead of
+    // paying for a fresh O(world²) mesh — the fixed cost that dominates at
+    // per-iteration cadence.
+    let pipelines = (plan.config.saves == SaveMode::Overlapped { universal: true })
+        .then(|| SavePipelines::new(world));
     // Fleet metric mesh: per-rank recorders gathered to rank 0 at run end
     // (only when telemetry is on — the mesh itself is cheap, but skipping
     // it keeps the disabled path allocation-free).
     let fleet = ucp_telemetry::enabled().then(|| crate::fleet::FleetMesh::new(world));
-    let results = Cluster::run(world, |comm| -> Result<RunResult, String> {
-        let t_load = std::time::Instant::now();
-        let rank = comm.rank();
-        let mut engine = match &plan.resume {
-            ResumeMode::Fresh => RankEngine::fresh(plan.config.clone(), comm),
-            ResumeMode::Native { dir, step } => {
-                RankEngine::resume_native(plan.config.clone(), comm, dir, *step)
+    let orphans = Mutex::new(Vec::new());
+    let cluster_opts = hooks.map_or_else(ClusterOptions::default, |h| ClusterOptions {
+        deadline: h.deadline,
+    });
+    let results =
+        Cluster::try_run_with(world, &cluster_opts, |comm| -> Result<RunResult, String> {
+            let _segment = hooks.map(|_| trace::span(TraceCat::Recovery, "segment"));
+            let t_load = Instant::now();
+            let rank = comm.rank();
+            let config = plan.config.clone();
+            let mut engine = match &plan.resume {
+                ResumeMode::Fresh => RankEngine::fresh(config, comm),
+                ResumeMode::Native { dir, step } => {
+                    RankEngine::resume_native(config, comm, dir, *step)
+                }
+                ResumeMode::Universal { .. } => RankEngine::resume_universal_session(
+                    config,
+                    comm,
+                    session.as_ref().expect("session opened for Universal"),
+                ),
+                ResumeMode::Hot { checkpoint } => RankEngine::resume_universal_source(
+                    config,
+                    comm,
+                    &UniversalSource::Memory(checkpoint.as_ref()),
+                ),
             }
-            ResumeMode::Universal { .. } => RankEngine::resume_universal_session(
-                plan.config.clone(),
-                comm,
-                session.as_ref().expect("session opened for Universal"),
-            ),
-            ResumeMode::Hot { checkpoint } => RankEngine::resume_universal_source(
-                plan.config.clone(),
-                comm,
-                &crate::engine::UniversalSource::Memory(checkpoint.as_ref()),
-            ),
-        }
-        .map_err(|e| e.to_string())?;
-        let load_secs = t_load.elapsed().as_secs_f64();
+            .map_err(|e| e.to_string())?;
+            let load_secs = t_load.elapsed().as_secs_f64();
 
-        let start_iteration = engine.iteration;
-        let local = fleet.as_ref().map(|_| ucp_telemetry::Recorder::new());
-        let mut losses = Vec::new();
-        let mut metrics = Vec::new();
-        let mut save_secs = 0.0f64;
-        while engine.iteration < plan.until_iteration {
-            let it = engine.iteration;
-            let t_it = local.as_ref().map(|_| std::time::Instant::now());
-            let loss = engine.train_iteration().map_err(|e| e.to_string())?;
-            if let (Some(loc), Some(t)) = (&local, t_it) {
-                loc.count("rank/iterations", 1);
-                loc.observe("rank/step_us", t.elapsed().as_micros() as u64);
-            }
-            losses.push((it + 1, loss));
-            metrics.extend(engine.last_stats);
-            if let (Some(every), Some(dir)) = (plan.checkpoint_every, &plan.checkpoint_dir) {
-                if engine.iteration % every == 0 {
-                    let t0 = std::time::Instant::now();
-                    let step = engine.iteration;
-                    if rank == 0 {
-                        journal(dir, &ucp_storage::JournalEvent::SaveStarted { step })?;
-                    }
-                    engine.save_checkpoint(dir).map_err(|e| e.to_string())?;
-                    // The save barriers internally: when rank 0 returns,
-                    // every rank's files and the `latest` marker are
-                    // published.
-                    if rank == 0 {
-                        journal(dir, &ucp_storage::JournalEvent::NativePersisted { step })?;
-                    }
-                    save_secs += t0.elapsed().as_secs_f64();
+            let start_iteration = engine.iteration;
+            let local = fleet.as_ref().map(|_| ucp_telemetry::Recorder::new());
+            let mut saver = match (plan.checkpoint_every, &plan.checkpoint_dir) {
+                (Some(every), Some(dir)) => Some(Saver {
+                    dir,
+                    every,
+                    mode: plan.config.saves,
+                    rank,
+                    // Overlapped snapshots come from a bounded pool of
+                    // reusable buffers sized to the writers the tail bound
+                    // allows in flight: capturing one is a memcpy into
+                    // recycled capacity, and a lagging pipeline blocks the
+                    // next capture instead of growing memory without bound.
+                    pool: SnapshotPool::new(SNAPSHOT_POOL_CAPACITY),
+                    pipelines: pipelines.as_ref(),
+                    hot: hot.map(|tier| (tier, cluster_opts.deadline)),
+                    pending: None,
+                    tail: Vec::new(),
+                    orphans: &orphans,
+                }),
+                _ => None,
+            };
+            let mut losses = Vec::new();
+            let mut metrics = Vec::new();
+            let mut save_secs = 0.0f64;
+            while engine.iteration < plan.until_iteration {
+                let it = engine.iteration;
+                if let Some(h) = hooks {
+                    comm.set_step(it);
+                    (h.at_step)(comm, it);
+                }
+                let t_it = local.as_ref().map(|_| Instant::now());
+                let loss = engine.train_iteration().map_err(|e| e.to_string())?;
+                if let (Some(loc), Some(t)) = (&local, t_it) {
+                    loc.count("rank/iterations", 1);
+                    loc.observe("rank/step_us", t.elapsed().as_micros() as u64);
+                }
+                losses.push((it + 1, loss));
+                metrics.extend(engine.last_stats);
+                if let Some(saver) = saver.as_mut().filter(|s| engine.iteration % s.every == 0) {
+                    let blocked = saver.save(&mut engine)?;
+                    save_secs += blocked.as_secs_f64();
                     if let Some(loc) = &local {
-                        loc.observe("rank/save_block_us", t0.elapsed().as_micros() as u64);
+                        loc.observe("rank/save_block_us", blocked.as_micros() as u64);
                     }
                 }
             }
-        }
-        if let (Some(mesh), Some(loc)) = (fleet.as_ref(), local.as_ref()) {
-            crate::fleet::gather(mesh, rank, loc);
-        }
-        Ok(RunResult {
-            losses,
-            start_iteration,
-            save_secs,
-            load_secs,
-            metrics,
-        })
-    });
-
-    collect_results(results)
-}
-
-/// Append a run-journal event under `dir`, mapping the error into the
-/// cluster closure's `String` error space.
-fn journal(dir: &Path, event: &ucp_storage::JournalEvent) -> Result<(), String> {
-    ucp_storage::journal::append(dir, event).map_err(|e| e.to_string())
-}
-
-/// Options for the overlapped training driver.
-#[derive(Debug, Clone)]
-pub struct OverlappedOptions {
-    /// Run the born-universal save pipeline: background writers assemble
-    /// universal atom checkpoints while persisting, and rank 0's writer
-    /// publishes `latest_universal` as soon as its manifest is durable and
-    /// the step's native `latest` has been committed — resume needs no
-    /// convert pass and training never blocks on atom assembly. Off, the
-    /// driver matches the pre-pipeline behavior (native files and
-    /// `latest` only).
-    pub universal_save: bool,
-}
-
-impl Default for OverlappedOptions {
-    fn default() -> OverlappedOptions {
-        OverlappedOptions {
-            universal_save: true,
-        }
+            if let Some(saver) = saver {
+                saver.finish(&engine)?;
+            }
+            if let (Some(mesh), Some(loc)) = (fleet.as_ref(), local.as_ref()) {
+                crate::fleet::gather(mesh, rank, loc);
+            }
+            Ok(RunResult {
+                losses,
+                start_iteration,
+                save_secs,
+                load_secs,
+                metrics,
+            })
+        });
+    // Join the writers ranks left in flight when they exited early, so no
+    // writer outlives the run. Only now: dropping the pipelines is what
+    // releases rank 0's writer from waiting on a native publish that will
+    // never come (joining inside the rank closure would stall for the
+    // pipeline's exchange deadline).
+    drop(pipelines);
+    for writer in orphans.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        // The run already failed; its root cause is what gets reported.
+        let _ = writer.wait();
+    }
+    match results {
+        Ok(per_rank) => collect_results(per_rank).map_err(SegmentError::Hard),
+        Err(failure) => Err(SegmentError::Failure(failure)),
     }
 }
 
-/// Like [`train_run`], but checkpoint persistence overlaps training
-/// (CheckFreq/Gemini-style): at each checkpoint boundary the rank takes an
-/// in-memory snapshot — the only blocking cost — and a background thread
-/// writes the files while training continues. The writers also run the
-/// born-universal save pipeline ([`crate::pipeline`]), so each step's
-/// universal atom checkpoints are assembled during the overlapped persist.
-/// The `latest` and `latest_universal` markers for a step are published as
-/// soon as that step's writers have drained (at the next checkpoint
-/// boundary, or at run end), so a crash mid-run resumes from the newest
-/// completed save — under *any* target strategy, with no convert pass.
-/// The native on-disk checkpoints are byte-identical to the synchronous
-/// path.
-pub fn train_run_overlapped(plan: &TrainPlan) -> Result<RunResult, TrainError> {
-    train_run_overlapped_with(plan, &OverlappedOptions::default())
+/// One rank's save step, and the overlapped writers it has in flight.
+struct Saver<'r> {
+    dir: &'r Path,
+    every: u64,
+    mode: SaveMode,
+    rank: usize,
+    pool: Arc<SnapshotPool>,
+    pipelines: Option<&'r SavePipelines>,
+    /// The armed hot tier and its exchange deadline.
+    hot: Option<(&'r HotTier, Duration)>,
+    /// The newest overlapped writer, not yet drained.
+    pending: Option<PendingSave>,
+    /// Drained writers still assembling universal atoms; joined (and
+    /// their errors surfaced) at run end. Bounded so a pipeline that
+    /// can't keep up with the save cadence applies backpressure instead
+    /// of accumulating snapshots.
+    tail: Vec<PendingSave>,
+    /// Where writers still in flight go when the rank exits early (error
+    /// or panic), for the runner to join once the cluster is down.
+    orphans: &'r Mutex<Vec<PendingSave>>,
 }
 
-/// [`train_run_overlapped`] with explicit [`OverlappedOptions`].
-pub fn train_run_overlapped_with(
-    plan: &TrainPlan,
-    opts: &OverlappedOptions,
-) -> Result<RunResult, TrainError> {
-    plan.config.validate().map_err(TrainError::Config)?;
-    let world = plan.config.parallel.world_size();
-    let session = open_resume_session(&plan.resume)?;
-    // One persistent exchange mesh for the whole run, wired before the
-    // fan-out so every rank's background writer leases the same fabric.
-    // Each save step claims an epoch-tagged lease instead of paying for a
-    // fresh O(world²) mesh — the fixed cost that dominates at
-    // per-iteration cadence.
-    let pipelines = opts
-        .universal_save
-        .then(|| crate::pipeline::SavePipelines::new(world));
-    let fleet = ucp_telemetry::enabled().then(|| crate::fleet::FleetMesh::new(world));
-    let results = Cluster::run(world, |comm| -> Result<RunResult, String> {
-        let t_load = std::time::Instant::now();
-        let rank = comm.rank();
-        let mut engine = match &plan.resume {
-            ResumeMode::Fresh => RankEngine::fresh(plan.config.clone(), comm),
-            ResumeMode::Native { dir, step } => {
-                RankEngine::resume_native(plan.config.clone(), comm, dir, *step)
-            }
-            ResumeMode::Universal { .. } => RankEngine::resume_universal_session(
-                plan.config.clone(),
-                comm,
-                session.as_ref().expect("session opened for Universal"),
-            ),
-            ResumeMode::Hot { checkpoint } => RankEngine::resume_universal_source(
-                plan.config.clone(),
-                comm,
-                &crate::engine::UniversalSource::Memory(checkpoint.as_ref()),
-            ),
+impl Saver<'_> {
+    /// Save the step the engine just completed: snapshot first, then the
+    /// sinks. Returns how long training was blocked.
+    fn save(&mut self, engine: &mut RankEngine) -> Result<Duration, String> {
+        let t0 = Instant::now();
+        let step = engine.iteration;
+        if self.rank == 0 {
+            journal(self.dir, &JournalEvent::SaveStarted { step })?;
         }
-        .map_err(|e| e.to_string())?;
-        let load_secs = t_load.elapsed().as_secs_f64();
-
-        // Drain the previous background writer only as far as its native
-        // persist and commit the native `latest` marker. The writer keeps
-        // assembling universal atoms in the background and publishes
-        // `latest_universal` itself once rank 0's training thread reports
-        // the native marker durable — atom assembly never blocks
-        // training. The writer handle is returned so the run can join it
-        // (and surface its errors) at the end.
-        let drain = |engine: &RankEngine,
-                     prev: crate::snapshot::PendingSave,
-                     dir: &Path|
-         -> Result<crate::snapshot::PendingSave, String> {
-            let step = prev.step;
-            let t_drain = ucp_telemetry::enabled().then(std::time::Instant::now);
-            {
-                let _drain =
-                    ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "drain");
-                prev.wait_persisted().map_err(|e| e.to_string())?;
-            }
-            if let Some(t) = t_drain {
-                ucp_telemetry::global().record_span("save/drain", t.elapsed());
-            }
-            // The drained step's native files are complete on every rank:
-            // publish `latest` now, so a crash later in the run loses one
-            // interval, not the whole run.
+        if self.mode == SaveMode::Blocking {
+            // Nothing overlaps a blocking save, so its snapshot borrows the
+            // engine's buffers instead of copying them (a copy measurably
+            // raised peak RSS).
+            let snapshot = engine.lend_snapshot();
+            snapshot.persist(self.dir).map_err(|e| e.to_string())?;
+            // The publish barriers: when it returns, every rank's files
+            // and the `latest` marker are durable.
             engine
-                .publish_markers(dir, step, false)
+                .publish_markers(self.dir, step, false)
                 .map_err(|e| e.to_string())?;
-            // Native marker durable (the publish barrier guarantees it on
-            // every rank): clear the step's writer to publish the
-            // universal marker whenever its manifest lands.
-            if rank == 0 {
-                journal(dir, &ucp_storage::JournalEvent::NativePersisted { step })?;
-                if let Some(p) = pipelines.as_ref() {
-                    p.notify_native_published(step);
-                }
+            if self.rank == 0 {
+                journal(self.dir, &JournalEvent::NativePersisted { step })?;
             }
-            Ok(prev)
-        };
+            self.replicate(&snapshot)?;
+            engine.restore(snapshot);
+            return Ok(t0.elapsed());
+        }
+        // Overlapped: only the drain of the previous writer's persist, the
+        // snapshot and the hot-tier wave block training.
+        if let Some(prev) = self.pending.take() {
+            self.tail.push(prev);
+            self.drain(engine)?;
+        }
+        while self.tail.len() > 2 {
+            self.tail.remove(0).wait().map_err(|e| e.to_string())?;
+        }
+        let t_snap = ucp_telemetry::enabled().then(Instant::now);
+        let snapshot = engine.snapshot_pooled(&self.pool);
+        if let Some(t) = t_snap {
+            ucp_telemetry::global().record_span("save/snapshot", t.elapsed());
+        }
+        self.replicate(snapshot.get())?;
+        let blocked = t0.elapsed();
+        let task = self.pipelines.and_then(|p| p.take(step, self.rank));
+        self.pending = Some(PendingSave::spawn_with(
+            snapshot,
+            self.dir.to_path_buf(),
+            task,
+        ));
+        Ok(blocked)
+    }
 
-        let start_iteration = engine.iteration;
-        let local = fleet.as_ref().map(|_| ucp_telemetry::Recorder::new());
-        let mut losses = Vec::new();
-        let mut metrics = Vec::new();
-        let mut save_secs = 0.0f64;
-        let mut pending: Option<crate::snapshot::PendingSave> = None;
-        // Drained writers still assembling universal atoms; joined (and
-        // their errors surfaced) at run end. Bounded so a pipeline that
-        // can't keep up with the save cadence applies backpressure
-        // instead of accumulating snapshots.
-        let mut tail: Vec<crate::snapshot::PendingSave> = Vec::new();
-        // Snapshots come from a bounded pool of reusable buffers sized to
-        // the writers the tail bound allows in flight: capturing one is a
-        // memcpy into recycled capacity, and a lagging pipeline blocks the
-        // next capture instead of growing memory without bound.
-        let snapshot_pool =
-            crate::snapshot::SnapshotPool::new(crate::pipeline::SNAPSHOT_POOL_CAPACITY);
-        while engine.iteration < plan.until_iteration {
-            let it = engine.iteration;
-            let t_it = local.as_ref().map(|_| std::time::Instant::now());
-            let loss = engine.train_iteration().map_err(|e| e.to_string())?;
-            if let (Some(loc), Some(t)) = (&local, t_it) {
-                loc.count("rank/iterations", 1);
-                loc.observe("rank/step_us", t.elapsed().as_micros() as u64);
-            }
-            losses.push((it + 1, loss));
-            metrics.extend(engine.last_stats);
-            if let (Some(every), Some(dir)) = (plan.checkpoint_every, &plan.checkpoint_dir) {
-                if engine.iteration % every == 0 {
-                    let t0 = std::time::Instant::now();
-                    if rank == 0 {
-                        journal(
-                            dir,
-                            &ucp_storage::JournalEvent::SaveStarted {
-                                step: engine.iteration,
-                            },
-                        )?;
-                    }
-                    // Only the drain of the previous writer's persist and
-                    // the snapshot block training.
-                    if let Some(prev) = pending.take() {
-                        tail.push(drain(&engine, prev, dir)?);
-                    }
-                    while tail.len() > 2 {
-                        tail.remove(0).wait().map_err(|e| e.to_string())?;
-                    }
-                    let t_snap = ucp_telemetry::enabled().then(std::time::Instant::now);
-                    let snapshot = engine.snapshot_pooled(&snapshot_pool);
-                    if let Some(t) = t_snap {
-                        ucp_telemetry::global().record_span("save/snapshot", t.elapsed());
-                    }
-                    save_secs += t0.elapsed().as_secs_f64();
-                    if let Some(loc) = &local {
-                        loc.observe("rank/save_block_us", t0.elapsed().as_micros() as u64);
-                    }
-                    let task = pipelines
-                        .as_ref()
-                        .and_then(|p| p.take(engine.iteration, rank));
-                    pending = Some(crate::snapshot::PendingSave::spawn_with(
-                        snapshot,
-                        dir.clone(),
-                        task,
-                    ));
-                }
-            }
-        }
-        if let Some(prev) = pending.take() {
-            if let Some(dir) = &plan.checkpoint_dir {
-                tail.push(drain(&engine, prev, dir)?);
-            } else {
-                prev.wait().map_err(|e| e.to_string())?;
-            }
-        }
-        // Join every outstanding writer. This is shutdown latency, not a
-        // training stall (there is no more training to overlap with), so
-        // it lands on its own span.
-        let t_final = ucp_telemetry::enabled().then(std::time::Instant::now);
+    /// Drain the newest tail writer only as far as its native persist and
+    /// commit the native `latest` marker. The writer keeps assembling
+    /// universal atoms in the background and publishes `latest_universal`
+    /// itself once rank 0's training thread reports the native marker
+    /// durable — atom assembly never blocks training.
+    fn drain(&self, engine: &RankEngine) -> Result<(), String> {
+        let prev = self.tail.last().expect("the drained writer is in the tail");
+        let step = prev.step;
+        let t_drain = ucp_telemetry::enabled().then(Instant::now);
         {
-            let _sp =
-                ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "final_drain");
-            for prev in tail {
-                prev.wait().map_err(|e| e.to_string())?;
+            let _drain = trace::span(TraceCat::Checkpoint, "drain");
+            prev.wait_persisted().map_err(|e| e.to_string())?;
+        }
+        if let Some(t) = t_drain {
+            ucp_telemetry::global().record_span("save/drain", t.elapsed());
+        }
+        // The drained step's native files are complete on every rank:
+        // publish `latest` now, so a crash later in the run loses one
+        // interval, not the whole run.
+        engine
+            .publish_markers(self.dir, step, false)
+            .map_err(|e| e.to_string())?;
+        // Native marker durable (the publish barrier guarantees it on
+        // every rank): clear the step's writer to publish the universal
+        // marker whenever its manifest lands.
+        if self.rank == 0 {
+            journal(self.dir, &JournalEvent::NativePersisted { step })?;
+            if let Some(p) = self.pipelines {
+                p.notify_native_published(step);
+            }
+        }
+        Ok(())
+    }
+
+    /// Replicate the step's snapshot into `K` peer banks when the hot tier
+    /// is armed. All ranks save at the same boundary, so the wave
+    /// completes before any fault can fire. A push failure degrades to
+    /// disk-only recovery for this generation — it never fails the run.
+    fn replicate(&self, snapshot: &CheckpointSnapshot) -> Result<(), String> {
+        let Some((tier, deadline)) = self.hot else {
+            return Ok(());
+        };
+        let step = snapshot.common.iteration;
+        match tier.replicate(self.rank, snapshot, deadline) {
+            Ok(bytes) if self.rank == 0 => journal(
+                self.dir,
+                &JournalEvent::HotReplicated {
+                    step,
+                    ranks: snapshot.common.parallel.world_size() as u64,
+                    bytes,
+                },
+            ),
+            Ok(_) => Ok(()),
+            Err(e) => {
+                ucp_telemetry::count("hot/replica_errors", 1);
+                eprintln!(
+                    "hot tier: rank {} replication at step {step} failed ({e}); this \
+                     generation recovers from disk",
+                    self.rank
+                );
+                Ok(())
+            }
+        }
+    }
+
+    /// Run end: drain the last overlapped writer and join every
+    /// outstanding one.
+    fn finish(mut self, engine: &RankEngine) -> Result<(), String> {
+        if self.mode == SaveMode::Blocking {
+            return Ok(());
+        }
+        if let Some(prev) = self.pending.take() {
+            self.tail.push(prev);
+            self.drain(engine)?;
+        }
+        // This is shutdown latency, not a training stall (there is no more
+        // training to overlap with), so it lands on its own span.
+        let t_final = ucp_telemetry::enabled().then(Instant::now);
+        {
+            let _sp = trace::span(TraceCat::Checkpoint, "final_drain");
+            while !self.tail.is_empty() {
+                self.tail.remove(0).wait().map_err(|e| e.to_string())?;
             }
         }
         if let Some(t) = t_final {
             ucp_telemetry::global().record_span("save/final_drain", t.elapsed());
         }
-        if let (Some(mesh), Some(loc)) = (fleet.as_ref(), local.as_ref()) {
-            crate::fleet::gather(mesh, rank, loc);
-        }
-        Ok(RunResult {
-            losses,
-            start_iteration,
-            save_secs,
-            load_secs,
-            metrics,
-        })
-    });
+        Ok(())
+    }
+}
 
-    collect_results(results)
+impl Drop for Saver<'_> {
+    fn drop(&mut self) {
+        let mut orphans = self.orphans.lock().unwrap_or_else(|e| e.into_inner());
+        orphans.extend(self.pending.take());
+        orphans.append(&mut self.tail);
+    }
+}
+
+/// Append a run-journal event under `dir`, mapping the error into the
+/// cluster closure's `String` error space.
+fn journal(dir: &Path, event: &JournalEvent) -> Result<(), String> {
+    ucp_storage::journal::append(dir, event).map_err(|e| e.to_string())
 }
 
 /// Open the shared [`LoadSession`] a universal resume needs (`None` for
 /// the other modes). Opening it before the cluster fan-out is what lets
 /// every rank load through one atom cache.
-pub(crate) fn open_resume_session(resume: &ResumeMode) -> Result<Option<LoadSession>, TrainError> {
+fn open_resume_session(resume: &ResumeMode) -> Result<Option<LoadSession>, TrainError> {
     match resume {
         ResumeMode::Universal { dir, step } => Ok(Some(
             LoadSession::open(dir, *step, LoadOptions::default()).map_err(TrainError::Ucp)?,
@@ -414,7 +491,7 @@ pub(crate) fn open_resume_session(resume: &ResumeMode) -> Result<Option<LoadSess
 }
 
 /// Merge per-rank results, surfacing the most informative error.
-pub(crate) fn collect_results(
+fn collect_results(
     results: Vec<std::result::Result<RunResult, String>>,
 ) -> Result<RunResult, TrainError> {
     let mut out: Option<RunResult> = None;
@@ -721,6 +798,48 @@ mod tests {
             assert!(
                 (la - lb).abs() < 2e-3,
                 "elastic run diverges at iteration {ia}: {la} vs {lb}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_overlapped_run_joins_its_writers() {
+        use ucp_storage::retention::{prune, RetentionPolicy};
+        let dir = tmp("writer_join");
+        let mut cfg = TrainConfig::quick(
+            ModelConfig::gpt3_tiny(),
+            ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+            31,
+        );
+        cfg.saves = SaveMode::Overlapped { universal: true };
+        // The first writer dies before persisting; its rank fails at the
+        // next drain while the peer's writer of the same step may still be
+        // running.
+        *crate::snapshot::PANIC_NEXT_PERSIST.lock().unwrap() = Some(dir.clone());
+        let err = train_run(&TrainPlan {
+            config: cfg,
+            until_iteration: 4,
+            resume: ResumeMode::Fresh,
+            checkpoint_every: Some(1),
+            checkpoint_dir: Some(dir.clone()),
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("writer"), "{err}");
+        // Every writer was joined before the run returned, so no step is
+        // pinned in flight: a prune keeping only a newer step removes all
+        // the run wrote except what a marker names.
+        let newest = 99;
+        std::fs::create_dir_all(ucp_storage::layout::step_dir(&dir, newest)).unwrap();
+        let report = prune(&dir, &RetentionPolicy::last(1)).unwrap();
+        let markers = [
+            ucp_storage::layout::read_latest(&dir),
+            ucp_storage::layout::read_latest_universal(&dir),
+        ];
+        for step in report.kept {
+            assert!(
+                step == newest || markers.contains(&Some(step)),
+                "step {step} still pinned in flight after the run returned"
             );
         }
         std::fs::remove_dir_all(&dir).ok();

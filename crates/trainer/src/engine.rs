@@ -15,10 +15,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ucp_collectives::{Comm, Group};
-use ucp_core::checkpoint::{
-    load_optim_states, save_model_states, save_model_states_durable, save_optim_states,
-    save_optim_states_durable, CommonState, OptimShard,
-};
+use ucp_core::checkpoint::{load_optim_states, CommonState, OptimShard};
 use ucp_core::load::{LoadOptions, LoadSession};
 use ucp_model::{GradStore, ModelConfig, Partition, Stage, StageIn, StageLayout, StageOut};
 use ucp_optim::{clip_scale, AdamConfig, AdamState, LrSchedule};
@@ -45,6 +42,26 @@ pub enum PipelineSchedule {
     /// f64 summation order; activation memory is bounded by the warmup
     /// depth instead of the microbatch count.
     OneFOneB,
+}
+
+/// How a run persists its checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SaveMode {
+    /// Persist on the training thread and publish `latest` at the save
+    /// step. Native files only.
+    #[default]
+    Blocking,
+    /// CheckFreq/Gemini-style: the training thread takes an in-memory
+    /// snapshot and a background writer persists it while training
+    /// continues. A step's `latest` is published once its writers have
+    /// drained — at the next save boundary, or at run end.
+    Overlapped {
+        /// Also run the born-universal save pipeline on the writers
+        /// ([`crate::pipeline`]): they assemble the step's universal atoms
+        /// and publish `latest_universal`, so a reconfigured resume needs
+        /// no convert pass.
+        universal: bool,
+    },
 }
 
 /// Everything that defines a training run.
@@ -76,6 +93,8 @@ pub struct TrainConfig {
     /// Telemetry then splits serialization (`storage/write`) from
     /// durability (`storage/fsync`) in the save accounting.
     pub durable_saves: bool,
+    /// How checkpoints are persisted.
+    pub saves: SaveMode,
 }
 
 impl TrainConfig {
@@ -99,6 +118,7 @@ impl TrainConfig {
             alignment: 8,
             schedule: PipelineSchedule::Sequential,
             durable_saves: false,
+            saves: SaveMode::Blocking,
         }
     }
 
@@ -711,51 +731,44 @@ impl<'a> RankEngine<'a> {
     /// hand every snapshot to the save path (the driver does).
     pub fn snapshot(&mut self) -> crate::snapshot::CheckpointSnapshot {
         let _sp = trace::span(TraceCat::Checkpoint, "snapshot");
+        let lent = self.lend_snapshot();
+        let copy = lent.clone();
+        self.restore(lent);
+        copy
+    }
+
+    /// Move everything this rank persists into a snapshot instead of
+    /// copying it — for a save that finishes before training resumes (a
+    /// blocking save). Like [`RankEngine::snapshot`] it drains the dirty
+    /// tracker. The engine cannot train until [`RankEngine::restore`]
+    /// hands the buffers back.
+    pub(crate) fn lend_snapshot(&mut self) -> crate::snapshot::CheckpointSnapshot {
         let zi = self.zero_index();
-        let dirty = self.dirty.take();
         crate::snapshot::CheckpointSnapshot {
             common: self.common_state(),
             tp: self.coord.tp,
             pp: self.coord.pp,
-            model: (zi == 0).then(|| self.stage.params.clone()),
+            model: (zi == 0).then(|| std::mem::take(&mut self.stage.params)),
             shard: OptimShard {
                 dp: zi,
                 layout: self.layout.clone(),
-                fp32: self.master.clone(),
-                exp_avg: self.adam.exp_avg.clone(),
-                exp_avg_sq: self.adam.exp_avg_sq.clone(),
+                fp32: std::mem::take(&mut self.master),
+                exp_avg: std::mem::take(&mut self.adam.exp_avg),
+                exp_avg_sq: std::mem::take(&mut self.adam.exp_avg_sq),
             },
             durable: self.cfg.durable_saves,
-            dirty: Some(dirty),
+            dirty: Some(self.dirty.take()),
         }
     }
 
-    /// Capture this rank's state as a hot-tier shard: the peer-replication
-    /// payload (common metadata plus a clone of the flat optimizer chunk).
-    /// Unlike [`RankEngine::snapshot`] this does not drain the dirty
-    /// tracker — the hot tier drains it explicitly via
-    /// [`RankEngine::take_dirty`] so full and delta pushes share one
-    /// capture path.
-    pub fn hot_shard(&self) -> ucp_core::HotShard {
-        ucp_core::HotShard {
-            common: self.common_state(),
-            tp: self.coord.tp,
-            pp: self.coord.pp,
-            shard: OptimShard {
-                dp: self.zero_index(),
-                layout: self.layout.clone(),
-                fp32: self.master.clone(),
-                exp_avg: self.adam.exp_avg.clone(),
-                exp_avg_sq: self.adam.exp_avg_sq.clone(),
-            },
+    /// Take back the buffers [`RankEngine::lend_snapshot`] moved out.
+    pub(crate) fn restore(&mut self, snapshot: crate::snapshot::CheckpointSnapshot) {
+        if let Some(params) = snapshot.model {
+            self.stage.params = params;
         }
-    }
-
-    /// Drain the dirty tracker: the parameter ranges touched since the
-    /// last drain (by [`RankEngine::snapshot`] or this method). The hot
-    /// tier uses the drained map to delta-replicate between full pushes.
-    pub fn take_dirty(&mut self) -> crate::dirty::DirtyMap {
-        self.dirty.take()
+        self.master = snapshot.shard.fp32;
+        self.adam.exp_avg = snapshot.shard.exp_avg;
+        self.adam.exp_avg_sq = snapshot.shard.exp_avg_sq;
     }
 
     /// Like [`RankEngine::snapshot`], but fills a reusable buffer drawn
@@ -800,19 +813,13 @@ impl<'a> RankEngine<'a> {
         }
     }
 
-    /// Barrier the world, then let rank 0 record the `latest` marker for
-    /// `step` (split out so overlapped saves can defer it).
-    pub fn publish_latest(&self, base: &Path, step: u64) -> Result<(), TrainError> {
-        self.publish_markers(base, step, false)
-    }
-
-    /// Publish a drained save: barrier the world, then let rank 0 commit
+    /// Publish a persisted save: barrier the world, then let rank 0 commit
     /// the native `latest` marker — and, when `universal` is set, the
     /// step's `latest_universal` right after it (see
     /// `ucp_storage::layout::publish_step_markers` for the ordering
     /// invariant). The entry barrier is what upholds the commit ordering:
     /// every rank's files for the step are durable before a marker lands.
-    /// The overlapped driver always passes `universal: false` — the
+    /// The segment runner always passes `universal: false` — the
     /// born-universal pipeline publishes `latest_universal` from rank 0's
     /// background writer instead, keyed off this publish completing.
     pub fn publish_markers(
@@ -833,67 +840,6 @@ impl<'a> RankEngine<'a> {
         if let Some(t) = t {
             ucp_telemetry::global().record_span("save/publish", t.elapsed());
         }
-        Ok(())
-    }
-
-    /// Write this rank's part of a native distributed checkpoint. Rank 0
-    /// additionally records the `latest` marker after a barrier.
-    pub fn save_checkpoint(&self, base: &Path) -> Result<(), TrainError> {
-        let _save_span = trace::span(TraceCat::Checkpoint, "save");
-        let persist_span = trace::span(TraceCat::Checkpoint, "persist");
-        let t_persist = ucp_telemetry::enabled().then(std::time::Instant::now);
-        let step_dir = disk::step_dir(base, self.iteration);
-        let common = self.common_state();
-        let zi = self.zero_index();
-        let durable = self.cfg.durable_saves;
-        // One model-states file per (tp, pp), written by the zi=0 replica.
-        if zi == 0 {
-            if durable {
-                save_model_states_durable(
-                    &step_dir,
-                    &common,
-                    self.coord.tp,
-                    self.coord.pp,
-                    &self.stage.params,
-                )
-            } else {
-                save_model_states(
-                    &step_dir,
-                    &common,
-                    self.coord.tp,
-                    self.coord.pp,
-                    &self.stage.params,
-                )
-            }
-            .map_err(TrainError::Ucp)?;
-        }
-        let shard = OptimShard {
-            dp: zi,
-            layout: self.layout.clone(),
-            fp32: self.master.clone(),
-            exp_avg: self.adam.exp_avg.clone(),
-            exp_avg_sq: self.adam.exp_avg_sq.clone(),
-        };
-        if durable {
-            save_optim_states_durable(&step_dir, &common, self.coord.tp, self.coord.pp, &shard)
-        } else {
-            save_optim_states(&step_dir, &common, self.coord.tp, self.coord.pp, &shard)
-        }
-        .map_err(TrainError::Ucp)?;
-        // Persist time only — the barriers below measure stragglers, not I/O.
-        drop(persist_span);
-        if let Some(t) = t_persist {
-            ucp_telemetry::global().record_span("save/persist", t.elapsed());
-            ucp_telemetry::count("save/snapshots", 1);
-        }
-        let _publish_span = trace::span(TraceCat::Checkpoint, "publish");
-        let world = Group::world(self.comm.world_size());
-        self.comm.barrier(&world).map_err(TrainError::Comm)?;
-        if self.comm.rank() == 0 {
-            disk::write_latest(base, self.iteration).map_err(|e| TrainError::Ucp(e.into()))?;
-        }
-        // Make the marker visible to everyone before proceeding.
-        self.comm.barrier(&world).map_err(TrainError::Comm)?;
         Ok(())
     }
 }

@@ -36,11 +36,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ucp_collectives::exchange::Mesh;
-use ucp_core::checkpoint::CommonState;
+use ucp_core::checkpoint::{CommonState, OptimShard};
 use ucp_core::{HotShard, MemoryCheckpoint};
 use ucp_storage::crc::crc32c;
 
 use crate::dirty::DirtyMap;
+use crate::snapshot::CheckpointSnapshot;
 
 /// Replica generations retained per (bank, source) slot. Two steps keep
 /// the previous save recoverable while the current one is being
@@ -144,16 +145,17 @@ impl HotTier {
             .collect()
     }
 
-    /// One rank's replication round at a save step: push to the K
-    /// holders, self-install, and install the K wards' pushes. Returns
-    /// the payload bytes this rank pushed. Failures are the caller's to
-    /// count — a failed round degrades the tier, never the training run.
+    /// One rank's replication round at a save step, from the step's
+    /// checkpoint snapshot: push to the K holders, self-install, and
+    /// install the K wards' pushes. The snapshot is borrowed — its full
+    /// shard is cloned only for a full push and for the self-install.
+    /// Returns the payload bytes this rank pushed. Failures are the
+    /// caller's to count — a failed round degrades the tier, never the
+    /// training run.
     pub fn replicate(
         &self,
         rank: usize,
-        step: u64,
-        shard: HotShard,
-        dirty: &DirtyMap,
+        snapshot: &CheckpointSnapshot,
         deadline: Duration,
     ) -> Result<u64, String> {
         let (mesh, world, first) = {
@@ -163,29 +165,38 @@ impl HotTier {
             s.pushed_full[rank] = true;
             (mesh, s.world, first)
         };
+        let step = snapshot.common.iteration;
+        let chunk = &snapshot.shard;
         let crc = [
-            crc_f32(&shard.shard.fp32),
-            crc_f32(&shard.shard.exp_avg),
-            crc_f32(&shard.shard.exp_avg_sq),
+            crc_f32(&chunk.fp32),
+            crc_f32(&chunk.exp_avg),
+            crc_f32(&chunk.exp_avg_sq),
         ];
-        let msg = if first {
-            HotMsg::Full {
-                shard: shard.clone(),
-                crc,
+        let full = || HotMsg::Full {
+            shard: HotShard {
+                common: snapshot.common.clone(),
+                tp: snapshot.tp,
+                pp: snapshot.pp,
+                shard: chunk.clone(),
+            },
+            crc,
+        };
+        let msg = match &snapshot.dirty {
+            Some(dirty) if !first => {
+                let runs = dirty_chunk_runs(chunk, dirty);
+                let data = [
+                    gather_runs(&chunk.fp32, &runs),
+                    gather_runs(&chunk.exp_avg, &runs),
+                    gather_runs(&chunk.exp_avg_sq, &runs),
+                ];
+                HotMsg::Delta {
+                    common: snapshot.common.clone(),
+                    runs,
+                    data,
+                    crc,
+                }
             }
-        } else {
-            let runs = dirty_chunk_runs(&shard, dirty);
-            let data = [
-                gather_runs(&shard.shard.fp32, &runs),
-                gather_runs(&shard.shard.exp_avg, &runs),
-                gather_runs(&shard.shard.exp_avg_sq, &runs),
-            ];
-            HotMsg::Delta {
-                common: shard.common.clone(),
-                runs,
-                data,
-                crc,
-            }
+            _ => full(),
         };
         let bytes = match &msg {
             HotMsg::Full { shard, .. } => shard.payload_bytes(),
@@ -202,7 +213,11 @@ impl HotTier {
         }
         // Self-install covers the holders-all-dead direction of the
         // placement guarantee: a surviving rank always serves itself.
-        self.install(rank, rank, step, HotMsg::Full { shard, crc });
+        let own = match msg {
+            HotMsg::Full { .. } => msg,
+            HotMsg::Delta { .. } => full(),
+        };
+        self.install(rank, rank, step, own);
         for from in self.wards_of(rank, world) {
             let incoming = lease
                 .recv_from(from, deadline)
@@ -394,9 +409,9 @@ fn crc_f32(xs: &[f32]) -> u32 {
 /// Intersect the dirty tracker's parameter-space ranges with this rank's
 /// ZeRO fragments, yielding sorted `(chunk_offset, len)` runs — the only
 /// elements of the chunk lazy Adam touched since the last drain.
-fn dirty_chunk_runs(shard: &HotShard, dirty: &DirtyMap) -> Vec<(usize, usize)> {
-    let layout = &shard.shard.layout;
-    let zi = shard.shard.dp;
+fn dirty_chunk_runs(chunk: &OptimShard, dirty: &DirtyMap) -> Vec<(usize, usize)> {
+    let layout = &chunk.layout;
+    let zi = chunk.dp;
     let mut runs: Vec<(usize, usize)> = Vec::new();
     for slot in &layout.slots {
         let Some(ranges) = dirty.get(&slot.name) else {

@@ -28,10 +28,10 @@ pub mod supervisor;
 pub use comm_group::CommGroup;
 pub use dirty::{DirtyMap, DirtyTracker};
 pub use driver::{
-    convert_checkpoint, resume_run, run_elastic, train_run, train_run_overlapped,
-    train_run_overlapped_with, ElasticPhase, OverlappedOptions, ResumeMode, RunResult, TrainPlan,
+    convert_checkpoint, resume_run, run_elastic, train_run, train_run_overlapped, ElasticPhase,
+    ResumeMode, RunResult, TrainPlan,
 };
-pub use engine::{IterStats, PipelineSchedule, RankEngine, TrainConfig, UniversalSource};
+pub use engine::{IterStats, PipelineSchedule, RankEngine, SaveMode, TrainConfig, UniversalSource};
 pub use hot::HotTier;
 pub use pipeline::SavePipelines;
 pub use snapshot::{CheckpointSnapshot, PendingSave, PooledSnapshot, SnapshotPool};

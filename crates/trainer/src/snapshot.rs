@@ -5,8 +5,8 @@
 //! in-memory snapshot, and persistence runs on a background thread. UCP is
 //! orthogonal to this optimization — the background writer emits the exact
 //! same native distributed checkpoint — so the two compose: this module
-//! provides the snapshot/writer machinery behind
-//! [`crate::driver::train_run_overlapped`].
+//! provides the snapshot every save starts from and the background writer
+//! behind overlapped saves ([`crate::SaveMode::Overlapped`]).
 //!
 //! At per-iteration cadence the snapshot clone itself becomes the fixed
 //! cost, so snapshots are drawn from a bounded [`SnapshotPool`]: a small
@@ -21,10 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ucp_core::checkpoint::{
-    save_model_states, save_model_states_durable, save_optim_states, save_optim_states_durable,
-    CommonState, OptimShard,
-};
+use ucp_core::checkpoint::{save_model_states, save_optim_states, CommonState, OptimShard};
 use ucp_model::ParamStore;
 use ucp_storage::layout as disk;
 
@@ -76,18 +73,24 @@ impl CheckpointSnapshot {
         let t = ucp_telemetry::enabled().then(std::time::Instant::now);
         let step_dir = disk::step_dir(base, self.common.iteration);
         if let Some(model) = &self.model {
-            if self.durable {
-                save_model_states_durable(&step_dir, &self.common, self.tp, self.pp, model)
-            } else {
-                save_model_states(&step_dir, &self.common, self.tp, self.pp, model)
-            }
+            save_model_states(
+                &step_dir,
+                &self.common,
+                self.tp,
+                self.pp,
+                model,
+                self.durable,
+            )
             .map_err(TrainError::Ucp)?;
         }
-        if self.durable {
-            save_optim_states_durable(&step_dir, &self.common, self.tp, self.pp, &self.shard)
-        } else {
-            save_optim_states(&step_dir, &self.common, self.tp, self.pp, &self.shard)
-        }
+        save_optim_states(
+            &step_dir,
+            &self.common,
+            self.tp,
+            self.pp,
+            &self.shard,
+            self.durable,
+        )
         .map_err(TrainError::Ucp)?;
         if let Some(t) = t {
             ucp_telemetry::global().record_span("save/persist", t.elapsed());
@@ -243,7 +246,7 @@ impl PendingSave {
             // panic before the persist signal drops `persisted_tx`, which
             // unblocks `wait_persisted` the same way.)
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                test_panic_injection();
+                test_panic_injection(&base);
                 let snapshot = pooled.get();
                 let persist_result = snapshot.persist(&base);
                 let _ = persisted_tx.send(
@@ -314,16 +317,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Test-only kill switch: makes the next spawned writer panic before it
-/// touches disk, so the panic-safety of the retention pin is testable.
+/// Test-only kill switch: the next writer spawned under this base
+/// directory panics before it touches disk, so the panic-safety of the
+/// retention pin and of the run's writer join is testable. Scoped to one
+/// base so concurrently running tests never trip each other's writers.
 #[cfg(test)]
-static PANIC_NEXT_PERSIST: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+pub(crate) static PANIC_NEXT_PERSIST: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-fn test_panic_injection() {
+#[cfg_attr(not(test), allow(unused_variables))]
+fn test_panic_injection(base: &Path) {
     #[cfg(test)]
-    if PANIC_NEXT_PERSIST.swap(false, std::sync::atomic::Ordering::SeqCst) {
-        panic!("injected writer panic");
+    {
+        let mut armed = PANIC_NEXT_PERSIST.lock().unwrap_or_else(|e| e.into_inner());
+        if armed.as_deref() == Some(base) {
+            *armed = None;
+            drop(armed);
+            panic!("injected writer panic");
+        }
     }
 }
 
@@ -460,7 +470,7 @@ mod tests {
         // The writer panics before touching disk. Its step stays pinned
         // only while the writer lives — the panic must release the pin,
         // not leak it for the rest of the run.
-        PANIC_NEXT_PERSIST.store(true, std::sync::atomic::Ordering::SeqCst);
+        *PANIC_NEXT_PERSIST.lock().unwrap() = Some(base.clone());
         let pending = PendingSave::spawn(snapshot(8), base.clone());
         let err = pending.wait().unwrap_err();
         assert!(

@@ -232,3 +232,33 @@ fn diff_detects_equal_and_different_checkpoints() {
         std::fs::remove_dir_all(&d).ok();
     }
 }
+
+#[test]
+fn train_overlapped_with_hot_replicas_publishes_universal() {
+    // The hot tier rides the same save step as overlapped born-universal
+    // writers: the supervised run still publishes `latest_universal`.
+    let dir = scratch("train_overlapped_hot");
+    commands::train(&flags(&[
+        "--dir",
+        &dir.to_string_lossy(),
+        "--model",
+        "gpt3-tiny",
+        "--tp",
+        "1",
+        "--pp",
+        "1",
+        "--dp",
+        "2",
+        "--iters",
+        "4",
+        "--save-every",
+        "2",
+        "--overlapped",
+        "--hot-replicas",
+        "1",
+    ]))
+    .unwrap();
+    assert_eq!(layout::read_latest(&dir), Some(4));
+    assert_eq!(layout::read_latest_universal(&dir), Some(4));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -18,7 +18,7 @@
 //!   `hot_recovery_end` lifecycle and attributes `recovery_end` to the
 //!   tier that actually served.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -27,7 +27,7 @@ use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::journal;
 use ucp_repro::trainer::supervisor::{supervise, FaultKind, RankFault, SupervisorOptions};
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run, ResumeMode, SaveMode, TrainConfig, TrainPlan};
 
 const ITERS: u64 = 6;
 const SAVE_EVERY: u64 = 2;
@@ -54,13 +54,23 @@ fn source_topology() -> ParallelConfig {
     ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1)
 }
 
-fn hot_plan(dir: &PathBuf) -> TrainPlan {
+/// Overlapped born-universal saves: the hot tier replicates the same
+/// snapshot the background writers persist.
+const OVERLAPPED: SaveMode = SaveMode::Overlapped { universal: true };
+
+fn hot_plan(dir: &Path) -> TrainPlan {
+    hot_plan_with(dir, SaveMode::Blocking)
+}
+
+fn hot_plan_with(dir: &Path, saves: SaveMode) -> TrainPlan {
+    let mut config = TrainConfig::quick(ModelConfig::gpt3_tiny(), source_topology(), SEED);
+    config.saves = saves;
     TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source_topology(), SEED),
+        config,
         until_iteration: ITERS,
         resume: ResumeMode::Fresh,
         checkpoint_every: Some(SAVE_EVERY),
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(dir.to_path_buf()),
     }
 }
 
@@ -79,7 +89,7 @@ fn hot_opts(target: ParallelConfig, faults: Vec<RankFault>) -> SupervisorOptions
 /// universal tree is missing (a peer-memory recovery never touches it),
 /// which makes the bitwise comparison a direct RAM-vs-disk equivalence
 /// proof.
-fn disk_reference(dir: &PathBuf, target: ParallelConfig, step: u64) -> Vec<(u64, f64)> {
+fn disk_reference(dir: &Path, target: ParallelConfig, step: u64) -> Vec<(u64, f64)> {
     let universal = ucp_repro::storage::layout::universal_dir(dir, step);
     if !ucp_repro::storage::layout::manifest_path(&universal).exists() {
         ucp_repro::trainer::convert_checkpoint(
@@ -93,7 +103,7 @@ fn disk_reference(dir: &PathBuf, target: ParallelConfig, step: u64) -> Vec<(u64,
         config: TrainConfig::quick(ModelConfig::gpt3_tiny(), target, SEED),
         until_iteration: ITERS,
         resume: ResumeMode::Universal {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             step,
         },
         checkpoint_every: None,
@@ -119,14 +129,25 @@ fn assert_bitwise_equal(resumed: &[(u64, f64)], reference: &[(u64, f64)], label:
 /// trip to disk entirely (no convert pass), and replay bitwise-equal to a
 /// disk-resumed reference — including under a *reconfigured* (degraded)
 /// topology, which exercises the shard remapping of the in-memory
-/// universal checkpoint.
+/// universal checkpoint. Overlapped saves replicate the same snapshot
+/// their background writers persist, so they recover the same way.
 #[test]
 fn single_kill_recovers_from_peer_memory_bitwise() {
     let _guard = test_guard();
     let source = source_topology();
-    for (ti, target) in [
-        ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
-        ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+    for (ti, (target, saves)) in [
+        (
+            ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
+            SaveMode::Blocking,
+        ),
+        (
+            ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+            SaveMode::Blocking,
+        ),
+        (
+            ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+            OVERLAPPED,
+        ),
     ]
     .into_iter()
     .enumerate()
@@ -136,7 +157,7 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
         rec.reset();
         rec.set_enabled(true);
         let report = supervise(
-            &hot_plan(&dir),
+            &hot_plan_with(&dir, saves),
             &hot_opts(
                 target,
                 vec![RankFault {
@@ -211,72 +232,78 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
 /// Double fault with K = 1: the lost set (2 consecutive ranks) exceeds the
 /// replication factor, so every copy of the first victim's shard is gone —
 /// the recovery must fall back to disk, tick `recovery/fallback_disk`,
-/// and still replay bitwise-equal with no data loss.
+/// and still replay bitwise-equal with no data loss. Overlapped saves
+/// publish `latest` one save interval late by design, so their kill comes
+/// at step 5, after step 2 has drained.
 #[test]
 fn double_fault_falls_back_to_disk_bitwise() {
     let _guard = test_guard();
-    let source = source_topology();
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
-    let dir = tmp("double_fault");
-    let rec = ucp_repro::telemetry::global();
-    rec.reset();
-    rec.set_enabled(true);
-    // Ranks 2 and 3 die at the same step: rank 2's only replica holder
-    // (rank 3) is part of the lost set.
-    let report = supervise(
-        &hot_plan(&dir),
-        &hot_opts(
-            target,
-            vec![
-                RankFault {
-                    rank: 3,
-                    step: 3,
-                    kind: FaultKind::Panic,
-                },
-                RankFault {
-                    rank: 2,
-                    step: 3,
-                    kind: FaultKind::Panic,
-                },
-            ],
-        ),
-    )
-    .unwrap();
-    let metrics = rec.report("hot_double");
-    rec.set_enabled(false);
+    for (ci, (saves, kill_step)) in [(SaveMode::Blocking, 3), (OVERLAPPED, 5)]
+        .into_iter()
+        .enumerate()
+    {
+        let dir = tmp(&format!("double_fault_{ci}"));
+        let rec = ucp_repro::telemetry::global();
+        rec.reset();
+        rec.set_enabled(true);
+        // Ranks 2 and 3 die at the same step: rank 2's only replica holder
+        // (rank 3) is part of the lost set.
+        let report = supervise(
+            &hot_plan_with(&dir, saves),
+            &hot_opts(
+                target,
+                vec![
+                    RankFault {
+                        rank: 3,
+                        step: kill_step,
+                        kind: FaultKind::Panic,
+                    },
+                    RankFault {
+                        rank: 2,
+                        step: kill_step,
+                        kind: FaultKind::Panic,
+                    },
+                ],
+            ),
+        )
+        .unwrap();
+        let metrics = rec.report("hot_double");
+        rec.set_enabled(false);
 
-    // One recovery cycle: the supervisor models the co-scheduled faults as
-    // a single lost set instead of burning a restart per kill.
-    assert_eq!(report.restarts.len(), 1);
-    let restart = &report.restarts[0];
-    assert_eq!(restart.source, "disk", "2 faults > K=1 must go to disk");
-    assert_eq!(restart.resume_step, Some(2));
-    let counter = |name: &str| {
-        metrics
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
-    assert_eq!(counter("recovery/fallback_disk"), 1);
-    assert_eq!(counter("recovery/source_peer"), 0);
+        // One recovery cycle: the supervisor models the co-scheduled faults
+        // as a single lost set instead of burning a restart per kill.
+        assert_eq!(report.restarts.len(), 1);
+        let restart = &report.restarts[0];
+        assert_eq!(restart.source, "disk", "2 faults > K=1 must go to disk");
+        assert_eq!(restart.resume_step, Some(2));
+        let counter = |name: &str| {
+            metrics
+                .counters
+                .iter()
+                .find(|c| c.name == name)
+                .map_or(0, |c| c.value)
+        };
+        assert_eq!(counter("recovery/fallback_disk"), 1);
+        assert_eq!(counter("recovery/source_peer"), 0);
 
-    let reference = disk_reference(&dir, target, 2);
-    assert_bitwise_equal(&report.final_segment().losses, &reference, "double_fault");
+        let reference = disk_reference(&dir, target, 2);
+        assert_bitwise_equal(&report.final_segment().losses, &reference, "double_fault");
 
-    let j = journal::read(&dir).unwrap();
-    let hot_ends: Vec<_> = j.of_kind("hot_recovery_end").collect();
-    assert_eq!(hot_ends.len(), 1);
-    assert!(matches!(
-        &hot_ends[0].event,
-        journal::JournalEvent::HotRecoveryEnd { fallback: true, .. }
-    ));
-    match &j.of_kind("recovery_end").next().unwrap().event {
-        journal::JournalEvent::RecoveryEnd { source, .. } => assert_eq!(source, "disk"),
-        other => panic!("unexpected event {other:?}"),
+        let j = journal::read(&dir).unwrap();
+        let hot_ends: Vec<_> = j.of_kind("hot_recovery_end").collect();
+        assert_eq!(hot_ends.len(), 1);
+        assert!(matches!(
+            &hot_ends[0].event,
+            journal::JournalEvent::HotRecoveryEnd { fallback: true, .. }
+        ));
+        match &j.of_kind("recovery_end").next().unwrap().event {
+            journal::JournalEvent::RecoveryEnd { source, .. } => assert_eq!(source, "disk"),
+            other => panic!("unexpected event {other:?}"),
+        }
+        assert!(fsck(&dir, &FsckOptions { repair: false }).unwrap().clean());
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(fsck(&dir, &FsckOptions { repair: false }).unwrap().clean());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Replica-owner-dead: the failing rank's unique holder (K = 1) dies in
